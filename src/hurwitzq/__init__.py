@@ -22,9 +22,8 @@ Modules:
 from __future__ import annotations
 
 from .decompose import (
-    DiffDecomposition,
+    Decomposition,
     DoubletAssignment,
-    SumDecomposition,
     Table3Row,
     conjugate_exclusions,
     diff_decompositions,
@@ -100,7 +99,7 @@ __all__ = [
     "CHARGE_VECTOR",
     "CheckResult",
     "ClosureCapError",
-    "DiffDecomposition",
+    "Decomposition",
     "DoubletAssignment",
     "FieldMismatchError",
     "GroupConstructionError",
@@ -111,7 +110,6 @@ __all__ = [
     "Quaternion",
     "SUPPORTED_FIELDS",
     "ScalarParseError",
-    "SumDecomposition",
     "Table3Row",
     "TritQuaternion",
     "UnitAtom",

@@ -28,7 +28,6 @@ from .particles import (
 )
 from .quaternions import Quaternion, parse_quaternion
 from .reports import FORMATS, ReportEnvelope, render
-from .scalars import ScalarParseError
 from .verify import run_verification
 
 
@@ -86,82 +85,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _particle_rows():
+    for p in registry():
+        numbers = (p.fermion_number, p.electric_charge, p.baryon_number, p.isospin_z)
+        yield p.name, p.charge, numbers, ()
+
+
+def _unit_rows():
+    for atom in hurwitz_units():
+        yield atom.name, atom.value, (fermion_number(atom.value), electric_charge(atom.value)), ()
+
+
+def _expression_rows():
+    for r in table3_rows():
+        p = particle(r.name)
+        yield r.name, r.charge, (p.fermion_number, p.electric_charge), (r.expression,)
+
+
+# One column spec per table: the text headers of the key and quaternion
+# columns, the signed-rational and plain-text column headers, and a row
+# source yielding (key, quaternion, rationals, texts).  Text output shows
+# the quaternion compactly and signs the rationals; csv and json split the
+# quaternion into w, x, y, z and print the rationals unsigned.
+_TABLES = {
+    "1": ("particle", "charge", ("F_nb", "Z_el", "N", "I_z"), (), _particle_rows),
+    "2": ("unit", "value", ("F_nb", "Z_el"), (), _unit_rows),
+    "3": ("particle", "charge", ("F_nb", "Z_el"), ("expression",), _expression_rows),
+}
+
+
 def _tables_envelope(which: str, report_format: str) -> ReportEnvelope:
-    display = report_format == "text"
-    if which == "1":
-        if display:
-            columns = ["particle", "charge", "F_nb", "Z_el", "N", "I_z"]
-            rows = [
-                [
-                    p.name,
-                    _compact(p.charge),
-                    _signed(p.fermion_number),
-                    _signed(p.electric_charge),
-                    _signed(p.baryon_number),
-                    _signed(p.isospin_z),
-                ]
-                for p in registry()
-            ]
-        else:
-            columns = ["name", "w", "x", "y", "z", "F_nb", "Z_el", "N", "I_z"]
-            rows = [
-                [p.name]
-                + [str(c) for c in p.charge.components]
-                + [
-                    str(p.fermion_number),
-                    str(p.electric_charge),
-                    str(p.baryon_number),
-                    str(p.isospin_z),
-                ]
-                for p in registry()
-            ]
-    elif which == "2":
-        units = hurwitz_units()
-        if display:
-            columns = ["unit", "value", "F_nb", "Z_el"]
-            rows = [
-                [
-                    atom.name,
-                    _compact(atom.value),
-                    _signed(fermion_number(atom.value)),
-                    _signed(electric_charge(atom.value)),
-                ]
-                for atom in units
-            ]
-        else:
-            columns = ["name", "w", "x", "y", "z", "F_nb", "Z_el"]
-            rows = [
-                [atom.name]
-                + [str(c) for c in atom.value.components]
-                + [str(fermion_number(atom.value)), str(electric_charge(atom.value))]
-                for atom in units
-            ]
+    key, quaternion, rationals, texts, source = _TABLES[which]
+    if report_format == "text":
+        columns = [key, quaternion, *rationals, *texts]
+        rows = [[k, _compact(q), *map(_signed, r), *t] for k, q, r, t in source()]
     else:
-        table = table3_rows()
-        if display:
-            columns = ["particle", "charge", "F_nb", "Z_el", "expression"]
-            rows = [
-                [
-                    r.name,
-                    _compact(r.charge),
-                    _signed(particle(r.name).fermion_number),
-                    _signed(particle(r.name).electric_charge),
-                    r.expression,
-                ]
-                for r in table
-            ]
-        else:
-            columns = ["name", "w", "x", "y", "z", "F_nb", "Z_el", "expression"]
-            rows = [
-                [r.name]
-                + [str(c) for c in r.charge.components]
-                + [
-                    str(particle(r.name).fermion_number),
-                    str(particle(r.name).electric_charge),
-                    r.expression,
-                ]
-                for r in table
-            ]
+        columns = ["name", "w", "x", "y", "z", *rationals, *texts]
+        rows = [[k, *map(str, q.components), *map(str, r), *t] for k, q, r, t in source()]
     return ReportEnvelope(
         command=f"tables {which}",
         report_format=report_format,
@@ -191,29 +151,20 @@ def _decompose_envelope(targets: "list[str]", mode: str, report_format: str) -> 
     if len(targets) != expected:
         raise ValueError(f"mode {mode} takes exactly {expected} target(s), got {len(targets)}")
     parsed = [parse_quaternion(t) for t in targets]
-    if mode == "sum":
-        result = sum_decompositions(parsed[0])
-        notes = [f"target {parsed[0]}", "mode sum", f"multiplicity {result.multiplicity}"]
-        columns = ["a", "b"]
-        rows = [[a.name, b.name] for a, b in result.pairs]
-    elif mode == "diff":
-        result = diff_decompositions(parsed[0])
-        notes = [f"target {parsed[0]}", "mode diff", f"multiplicity {result.multiplicity}"]
-        columns = ["a", "b"]
-        rows = [[a.name, b.name] for a, b in result.pairs]
-    else:
-        matches = doublet_search(parsed[0], parsed[1])
-        notes = [
-            f"up {parsed[0]}",
-            f"down {parsed[1]}",
-            f"multiplicity {len(matches)}",
-        ]
+    if mode == "doublet":
+        pairs = doublet_search(parsed[0], parsed[1])
+        notes = [f"up {parsed[0]}", f"down {parsed[1]}"]
         columns = ["shared", "flipped"]
-        rows = [[n.name, m.name] for n, m in matches]
+    else:
+        search = sum_decompositions if mode == "sum" else diff_decompositions
+        pairs = search(parsed[0]).pairs
+        notes = [f"target {parsed[0]}", f"mode {mode}"]
+        columns = ["a", "b"]
+    notes.append(f"multiplicity {len(pairs)}")
     return ReportEnvelope(
         command=f"decompose {mode}",
         report_format=report_format,
-        payload={"notes": notes, "columns": columns, "rows": rows},
+        payload={"notes": notes, "columns": columns, "rows": [[a.name, b.name] for a, b in pairs]},
     )
 
 
@@ -315,9 +266,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exit_request.code or 0)
     try:
         envelope = _dispatch(args)
-    except ScalarParseError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -327,3 +275,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -32,20 +32,8 @@ def _require_rational(q: Quaternion) -> None:
 
 
 @dataclass(frozen=True)
-class SumDecomposition:
-    """All unordered unit pairs {a, b} with value(a) + value(b) = target."""
-
-    target: Quaternion
-    pairs: "tuple[tuple[UnitAtom, UnitAtom], ...]"
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class DiffDecomposition:
-    """All ordered unit pairs (a, b) with value(a) - value(b) = target."""
+class Decomposition:
+    """All unit pairs that sum to ``target`` (unordered) or differ by it (ordered)."""
 
     target: Quaternion
     pairs: "tuple[tuple[UnitAtom, UnitAtom], ...]"
@@ -68,7 +56,7 @@ class DoubletAssignment:
     flipped: UnitAtom
 
 
-def sum_decompositions(target: Quaternion) -> SumDecomposition:
+def sum_decompositions(target: Quaternion) -> Decomposition:
     """Every unordered pair of Hurwitz units summing to ``target``.
 
     Pairs are deduplicated under swap; a degenerate pair {a, a} is
@@ -81,17 +69,17 @@ def sum_decompositions(target: Quaternion) -> SumDecomposition:
         for b in units[i:]:
             if a.value + b.value == target:
                 pairs.append((a, b))
-    return SumDecomposition(target=target, pairs=tuple(pairs))
+    return Decomposition(target=target, pairs=tuple(pairs))
 
 
-def diff_decompositions(target: Quaternion) -> DiffDecomposition:
+def diff_decompositions(target: Quaternion) -> Decomposition:
     """Every ordered pair of Hurwitz units with a - b = ``target``."""
     _require_rational(target)
     units = hurwitz_units()
     pairs = tuple(
         (a, b) for a in units for b in units if a.value - b.value == target
     )
-    return DiffDecomposition(target=target, pairs=pairs)
+    return Decomposition(target=target, pairs=pairs)
 
 
 def doublet_search(up: Quaternion, down: Quaternion) -> "list[tuple[UnitAtom, UnitAtom]]":
@@ -121,7 +109,6 @@ _GLUON_CANONICAL = (
     ("g_GbarR", "h7", "h4"),
     ("g_RbarB", "h4", "h6"),
 )
-_ANTI_GLUON = {"g_BbarG": "g_GbarB", "g_GbarR": "g_RbarG", "g_RbarB": "g_BbarR"}
 
 
 @dataclass(frozen=True)
@@ -131,6 +118,7 @@ class Table3Assignments:
     doublets: "tuple[DoubletAssignment, ...]"
     w_plus: "tuple[UnitAtom, UnitAtom]"
     w_minus: "tuple[UnitAtom, UnitAtom]"
+    #: Each canonical gluon (name, a, b) is followed by its antigluon (name, b, a).
     gluons: "tuple[tuple[str, UnitAtom, UnitAtom], ...]"
 
 
@@ -173,7 +161,7 @@ def table3_assignments() -> Table3Assignments:
         if a.value - b.value != particle(name).charge:
             raise VerificationError(f"{name} is not {a_name} - {b_name}")
         gluons.append((name, a, b))
-        anti = _ANTI_GLUON[name]
+        anti = antiparticle_name(name)
         if b.value - a.value != particle(anti).charge:
             raise VerificationError(f"{anti} is not {b_name} - {a_name}")
         gluons.append((anti, b, a))
@@ -222,6 +210,15 @@ def evaluate_unit_expression(expression: str) -> Quaternion:
     return total
 
 
+_SIGN_FLIP = str.maketrans("+-", "-+")
+
+
+def _negated(expression: str) -> str:
+    """The termwise sign flip of a unit expression: its antiparticle's."""
+    flipped = expression.translate(_SIGN_FLIP)
+    return flipped if flipped[:1] in ("+", "-") else f"-{flipped}"
+
+
 @dataclass(frozen=True)
 class Table3Row:
     name: str
@@ -234,29 +231,22 @@ def table3_rows() -> "list[Table3Row]":
 
     Expressions are regenerated from the searched assignments and then
     re-verified against each row's charge; the neutral bosons get an
-    empty expression.  The neutrino rows are written as the simplified
-    1 and -1 (h8 + h1 collapses to 1).
+    empty expression, and every antiparticle row is the termwise sign
+    flip of its particle's.  The neutrino row is written as the
+    simplified 1 (h8 + h1 collapses to 1).
     """
     assignments = table3_assignments()
-    expressions = {name: "" for name in ("gamma", "Z0", "g_CbarC", "g_CCbar")}
-    expressions["W+"] = "+i+j+k"
-    expressions["W-"] = "-i-j-k"
-    for name, a, b in assignments.gluons:
-        if name in _ANTI_GLUON:
-            expressions[name] = f"+{a}-{b}"
-        else:
-            expressions[name] = f"-{b}+{a}"
+    canonical = {"W+": "+i+j+k"}
+    for name, a, b in assignments.gluons[::2]:
+        canonical[name] = f"+{a}-{b}"
     for doublet in assignments.doublets:
-        up, down = doublet.up_name, doublet.down_name
         n, m = doublet.shared, doublet.flipped
-        if up == "nu":
-            expressions[up] = "1"
-            expressions[antiparticle_name(up)] = "-1"
-        else:
-            expressions[up] = f"+{n}+{m}"
-            expressions[antiparticle_name(up)] = f"-{n}-{m}"
-        expressions[down] = f"+{n}+conj({m})"
-        expressions[antiparticle_name(down)] = f"-{n}-conj({m})"
+        canonical[doublet.up_name] = "1" if doublet.up_name == "nu" else f"+{n}+{m}"
+        canonical[doublet.down_name] = f"+{n}+conj({m})"
+    expressions = {name: "" for name in ("gamma", "Z0", "g_CbarC", "g_CCbar")}
+    for name, expression in canonical.items():
+        expressions[name] = expression
+        expressions[antiparticle_name(name)] = _negated(expression)
 
     rows = []
     for row in registry():

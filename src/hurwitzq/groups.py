@@ -141,9 +141,6 @@ class QGroup:
             self._classes = tuple(classes)
         return self._classes
 
-    def conjugacy_class_sizes(self) -> "list[int]":
-        return sorted(len(c) for c in self.conjugacy_classes())
-
     def __contains__(self, q) -> bool:
         return q in self._index
 

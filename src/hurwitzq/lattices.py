@@ -136,7 +136,11 @@ def trit_quaternions() -> "list[TritQuaternion]":
 
 
 def satisfies_parity_rule(t: TritQuaternion) -> bool:
-    """The sign-count rule: both counts must lie in {0, 1, 3}."""
+    """The sign-count rule: both counts must lie in {0, 1, 3}.
+
+    Any object with ``pos_count`` and ``neg_count`` is judged the same
+    way, so the registry's parity report shares this one rule.
+    """
     allowed = (0, 1, 3)
     return t.pos_count in allowed and t.neg_count in allowed
 

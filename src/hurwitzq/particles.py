@@ -21,7 +21,7 @@ from functools import cache
 
 from . import quaternions
 from .groups import group_q24, group_q48
-from .lattices import is_hurwitz_integer
+from .lattices import is_hurwitz_integer, satisfies_parity_rule
 from .quaternions import Quaternion
 from .scalars import FieldMismatchError, QuadScalar
 
@@ -119,12 +119,8 @@ def _registry() -> "tuple[Particle, ...]":
             baryon_number=baryon,
             isospin_z=isospin,
         )
-        if row.electric_charge != row.baryon_number / 2 + row.isospin_z:
-            raise VerificationError(
-                f"row {name}: Z_el = {row.electric_charge} but N/2 + I_z = "
-                f"{row.baryon_number / 2 + row.isospin_z}"
-            )
         rows.append(row)
+    heisenberg_consistency(rows)
     if len({row.name for row in rows}) != len(rows):
         raise VerificationError("registry names are not unique")
     return tuple(rows)
@@ -181,12 +177,12 @@ def heisenberg_report(rows: "list[Particle] | None" = None) -> "list[FormulaChec
     return checks
 
 
-def heisenberg_consistency(rows: "tuple[Particle, ...] | None" = None) -> "list[FormulaCheck]":
+def heisenberg_consistency(rows: "list[Particle] | None" = None) -> "list[FormulaCheck]":
     """The charge-formula report, raising if any row fails."""
     checks = heisenberg_report(rows)
     bad = [c.name for c in checks if not c.passed]
     if bad:
-        raise VerificationError(f"charge formula fails for rows: {', '.join(bad)}")
+        raise VerificationError("Z_el = N/2 + I_z fails for: " + ", ".join(bad))
     return checks
 
 
@@ -200,7 +196,7 @@ class ParityCheck:
 
     @property
     def passed(self) -> bool:
-        return self.pos_count in (0, 1, 3) and self.neg_count in (0, 1, 3)
+        return satisfies_parity_rule(self)
 
 
 def verify_parity_rule(rows: "list[Particle] | None" = None) -> "list[ParityCheck]":
@@ -320,45 +316,21 @@ def vertex_catalog() -> "list[Vertex]":
                     ((gluon, "in"), (f"{flavor}_{y}", "out"), (f"{flavor}bar_{x}", "out")),
                 )
             )
+
+    def annihilation(name: str, boson: str) -> Vertex:
+        anti = _ANTINAME[name]
+        return Vertex(f"{name} + {anti} -> {boson}", ((name, "in"), (anti, "in"), (boson, "out")))
+
     charged = ["e-"] + [f"{flavor}_{c}" for flavor in ("u", "d") for c in _COLORS]
-    for name in charged:
-        vertices.append(
-            Vertex(
-                f"{name} + {_ANTINAME[name]} -> gamma",
-                ((name, "in"), (_ANTINAME[name], "in"), ("gamma", "out")),
-            )
-        )
-    for name in ["nu"] + charged:
-        vertices.append(
-            Vertex(
-                f"{name} + {_ANTINAME[name]} -> Z0",
-                ((name, "in"), (_ANTINAME[name], "in"), ("Z0", "out")),
-            )
-        )
+    vertices += [annihilation(name, "gamma") for name in charged]
+    vertices += [annihilation(name, "Z0") for name in ["nu"] + charged]
     for flavor, diagonal in (("u", "g_CbarC"), ("d", "g_CCbar")):
-        for c in _COLORS:
-            name = f"{flavor}_{c}"
-            vertices.append(
-                Vertex(
-                    f"{name} + {_ANTINAME[name]} -> {diagonal}",
-                    ((name, "in"), (_ANTINAME[name], "in"), (diagonal, "out")),
-                )
-            )
-    vertices.append(
-        Vertex("W+ + W- -> gamma", (("W+", "in"), ("W-", "in"), ("gamma", "out")))
-    )
-    vertices.append(
-        Vertex(
-            "g_BbarG + g_GbarR + g_RbarB -> 0",
-            (("g_BbarG", "in"), ("g_GbarR", "in"), ("g_RbarB", "in")),
-        )
-    )
-    vertices.append(
-        Vertex(
-            "g_GbarB + g_RbarG + g_BbarR -> 0",
-            (("g_GbarB", "in"), ("g_RbarG", "in"), ("g_BbarR", "in")),
-        )
-    )
+        vertices += [annihilation(f"{flavor}_{c}", diagonal) for c in _COLORS]
+    vertices.append(annihilation("W+", "gamma"))
+    # The two triple-gluon color cycles.
+    for pairs in (_COLOR_PAIRS[:3], _COLOR_PAIRS[3:]):
+        cycle = [f"g_{x}bar{y}" for x, y in pairs]
+        vertices.append(Vertex(" + ".join(cycle) + " -> 0", tuple((g, "in") for g in cycle)))
     return vertices
 
 

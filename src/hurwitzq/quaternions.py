@@ -175,6 +175,9 @@ class Quaternion:
         )
 
     def __hash__(self) -> int:
+        # With no vector part the value equals its scalar, so it hashes like one.
+        if not (self._x or self._y or self._z):
+            return hash(self._w)
         return hash((self._w, self._x, self._y, self._z))
 
     def __str__(self) -> str:

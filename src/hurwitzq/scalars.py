@@ -12,8 +12,6 @@ from fractions import Fraction
 
 SUPPORTED_FIELDS = (1, 2, 5)
 
-RationalLike = "int | Fraction | str"
-
 
 class FieldMismatchError(ValueError):
     """Raised when arithmetic would mix sqrt(2) and sqrt(5) quantities."""
@@ -208,6 +206,10 @@ class QuadScalar:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
+        # A rational value (always tagged d=1) equals its Fraction, so it
+        # must hash like one.
+        if self._d == 1:
+            return hash(self._a)
         return hash((self._a, self._b, self._d))
 
     def __str__(self) -> str:

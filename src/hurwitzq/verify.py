@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .decompose import (
     conjugate_exclusions,
-    doublet_search,
+    table3_assignments,
     table3_rows,
     unit_coverage_report,
 )
@@ -33,8 +33,7 @@ from .particles import (
     color_violating_control,
     electric_charge,
     fermion_number,
-    heisenberg_report,
-    particle,
+    heisenberg_consistency,
     registry,
     verify_parity_rule,
     vertex_catalog,
@@ -148,9 +147,7 @@ def _check_table3() -> str:
 
 
 def _check_heisenberg(rows: "list[Particle]") -> str:
-    bad = [c.name for c in heisenberg_report(rows) if not c.passed]
-    if bad:
-        raise VerificationError("Z_el = N/2 + I_z fails for: " + ", ".join(bad))
+    heisenberg_consistency(rows)
     return "Z_el = N/2 + I_z holds for every row"
 
 
@@ -192,13 +189,7 @@ def _check_vertices(rows: "list[Particle]") -> str:
 
 
 def _check_doublets() -> str:
-    pairs = (("nu", "e-"), ("u_R", "d_R"), ("u_B", "d_B"), ("u_G", "d_G"))
-    for up, down in pairs:
-        matches = doublet_search(particle(up).charge, particle(down).charge)
-        if len(matches) != 1:
-            raise VerificationError(
-                f"doublet ({up}, {down}) has {len(matches)} assignments, expected 1"
-            )
+    table3_assignments()
     return "all four doublet searches return exactly one assignment"
 
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,22 @@ class TestTables:
         expressions = {row[0]: row[-1] for row in data["payload"]["rows"]}
         assert expressions["e-"] == "+h8+conj(h1)"
         assert expressions["gamma"] == ""
+
+    @pytest.mark.parametrize(
+        "which, report_format, header",
+        [
+            ("1", "text", "particle charge F_nb Z_el N I_z"),
+            ("1", "csv", "name,w,x,y,z,F_nb,Z_el,N,I_z"),
+            ("2", "text", "unit value F_nb Z_el"),
+            ("2", "csv", "name,w,x,y,z,F_nb,Z_el"),
+            ("3", "text", "particle charge F_nb Z_el expression"),
+            ("3", "csv", "name,w,x,y,z,F_nb,Z_el,expression"),
+        ],
+    )
+    def test_header_row(self, capsys, which, report_format, header):
+        code, out, _ = run(capsys, "tables", which, "--format", report_format)
+        assert code == 0
+        assert out.splitlines()[0] == header
 
     def test_unknown_table_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "tables", "4")
@@ -239,3 +259,33 @@ class TestCrossFormatConsistency:
         data = json.loads(json_out)
         assert csv_rows[0] == data["payload"]["columns"]
         assert csv_rows[1:] == data["payload"]["rows"]
+
+
+class TestModuleEntryPoint:
+    """``python -m hurwitzq.cli`` behaves like the ``hurwitzq`` script."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "hurwitzq.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_tables_1(self):
+        result = self.run_module("tables", "1")
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 29
+
+    def test_malformed_target_is_a_usage_error(self):
+        result = self.run_module("decompose", "(1,-1,0", "--mode", "sum")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")

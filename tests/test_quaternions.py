@@ -151,6 +151,16 @@ class TestAlgebra:
         assert hash(Quaternion(Fraction(2, 2), 0, 0, 0)) == hash(ONE)
         assert Quaternion(1, 0, 0, 0) != Quaternion(0, 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, Fraction(-1, 2), QuadScalar.sqrt(2), QuadScalar(Fraction(1, 4), Fraction(1, 4), 5)],
+    )
+    def test_scalar_quaternions_hash_like_their_scalar(self, value):
+        q = Quaternion(value)
+        assert q == value
+        assert hash(q) == hash(value)
+        assert {value: "x"}.get(q) == "x"
+
 
 class TestTextForm:
     def test_canonical_string(self):

@@ -159,6 +159,14 @@ class TestArithmetic:
         assert hash(QuadScalar(2)) == hash(QuadScalar(Fraction(4, 2)))
         assert QuadScalar(0, 1, 2) != QuadScalar(0, 1, 5)
 
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_values_hash_like_their_fraction(self, value):
+        scalar = QuadScalar(value)
+        assert scalar == value
+        assert hash(scalar) == hash(value) == hash(Fraction(value))
+        assert {value: "x"}.get(scalar) == "x"
+        assert hash(QuadScalar(value, 0, 5)) == hash(value)
+
     def test_bool(self):
         assert not ZERO
         assert ONE
