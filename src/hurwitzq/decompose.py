@@ -4,8 +4,10 @@ Three searches cover everything: unordered unit pairs summing to a
 target, ordered unit pairs whose difference is a target, and the
 isospin-doublet search that asks one shared unit H_n and one flipped
 unit H_m to satisfy up = H_n + H_m and down = H_n + conj(H_m)
-simultaneously.  All searches run over the full 24 x 24 pair space;
-at this scale brute force is its own oracle.
+simultaneously.  Each search is exhaustive over the 24 x 24 pair space
+but takes it one first unit at a time: the target fixes the only
+possible partner, which is looked up by value.  So each search costs
+24 lookups, and pairs come out in the order of a full scan.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .lattices import (
     conjugate_unit,
     hurwitz_units,
     negate_unit,
+    unit_for_value,
     unit_named,
 )
 from .particles import VerificationError, antiparticle_name, particle, registry
@@ -64,22 +67,24 @@ def sum_decompositions(target: Quaternion) -> Decomposition:
     """
     _require_rational(target)
     units = hurwitz_units()
+    position = {atom.name: i for i, atom in enumerate(units)}
     pairs = []
     for i, a in enumerate(units):
-        for b in units[i:]:
-            if a.value + b.value == target:
-                pairs.append((a, b))
+        b = unit_for_value(target - a.value)
+        if b is not None and position[b.name] >= i:
+            pairs.append((a, b))
     return Decomposition(target=target, pairs=tuple(pairs))
 
 
 def diff_decompositions(target: Quaternion) -> Decomposition:
     """Every ordered pair of Hurwitz units with a - b = ``target``."""
     _require_rational(target)
-    units = hurwitz_units()
-    pairs = tuple(
-        (a, b) for a in units for b in units if a.value - b.value == target
-    )
-    return Decomposition(target=target, pairs=pairs)
+    pairs = []
+    for a in hurwitz_units():
+        b = unit_for_value(a.value - target)
+        if b is not None:
+            pairs.append((a, b))
+    return Decomposition(target=target, pairs=tuple(pairs))
 
 
 def doublet_search(up: Quaternion, down: Quaternion) -> "list[tuple[UnitAtom, UnitAtom]]":
@@ -90,13 +95,12 @@ def doublet_search(up: Quaternion, down: Quaternion) -> "list[tuple[UnitAtom, Un
     """
     _require_rational(up)
     _require_rational(down)
-    units = hurwitz_units()
-    return [
-        (n, m)
-        for n in units
-        for m in units
-        if n.value + m.value == up and n.value + m.value.conjugate() == down
-    ]
+    pairs = []
+    for n in hurwitz_units():
+        m = unit_for_value(up - n.value)
+        if m is not None and n.value + m.value.conjugate() == down:
+            pairs.append((n, m))
+    return pairs
 
 
 _DOUBLET_NAMES = (("nu", "e-"), ("u_R", "d_R"), ("u_B", "d_B"), ("u_G", "d_G"))

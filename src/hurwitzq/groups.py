@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import lcm
 
 from . import quaternions
 from .lattices import hamilton_units, hurwitz_units
@@ -31,6 +32,47 @@ class ClosureCapError(RuntimeError):
 
 class NotASubgroupError(ValueError):
     """A subgroup-relative query was asked of a non-subgroup."""
+
+
+def _cayley_table(elements, d: int) -> "tuple[tuple[int, ...], ...]":
+    """The index table of ``elements`` under the Hamilton product, on ints.
+
+    With ``s`` the lcm of every coefficient's denominator, each element is
+    8 ints (a, b per component, the component being (a + b*sqrt(d))/s).  The
+    product of two such tuples is over s**2, so elements are indexed by
+    their ints times ``s`` and a product's key is looked up as computed.
+    Only a miss builds a real Quaternion product, for the error message.
+    """
+    s = 1
+    for q in elements:
+        for c in q.components:
+            s = lcm(s, c.rational.denominator, c.surd.denominator)
+    coords = [
+        tuple(int(part * s) for c in q.components for part in (c.rational, c.surd))
+        for q in elements
+    ]
+    index = {tuple(s * v for v in ints): i for i, ints in enumerate(coords)}
+    # Letters as in Quaternion.__mul__: a..d on the left, e..h on the right;
+    # suffix 0 is a component's rational int, suffix 1 its surd int.
+    table = []
+    for p, (a0, a1, b0, b1, c0, c1, d0, d1) in zip(elements, coords):
+        row = []
+        for q, (e0, e1, f0, f1, g0, g1, h0, h1) in zip(elements, coords):
+            idx = index.get((
+                a0 * e0 - b0 * f0 - c0 * g0 - d0 * h0 + d * (a1 * e1 - b1 * f1 - c1 * g1 - d1 * h1),
+                a0 * e1 + a1 * e0 - b0 * f1 - b1 * f0 - c0 * g1 - c1 * g0 - d0 * h1 - d1 * h0,
+                a0 * f0 + b0 * e0 + c0 * h0 - d0 * g0 + d * (a1 * f1 + b1 * e1 + c1 * h1 - d1 * g1),
+                a0 * f1 + a1 * f0 + b0 * e1 + b1 * e0 + c0 * h1 + c1 * h0 - d0 * g1 - d1 * g0,
+                a0 * g0 - b0 * h0 + c0 * e0 + d0 * f0 + d * (a1 * g1 - b1 * h1 + c1 * e1 + d1 * f1),
+                a0 * g1 + a1 * g0 - b0 * h1 - b1 * h0 + c0 * e1 + c1 * e0 + d0 * f1 + d1 * f0,
+                a0 * h0 + b0 * g0 - c0 * f0 + d0 * e0 + d * (a1 * h1 + b1 * g1 - c1 * f1 + d1 * e1),
+                a0 * h1 + a1 * h0 + b0 * g1 + b1 * g0 - c0 * f1 - c1 * f0 + d0 * e1 + d1 * e0,
+            ))
+            if idx is None:
+                raise GroupConstructionError(f"not closed: {p} * {q} = {p * q} is missing")
+            row.append(idx)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 class QGroup:
@@ -65,17 +107,7 @@ class QGroup:
             if q.conjugate() not in self._index:
                 raise GroupConstructionError(f"inverse of {q} is missing")
         self._inverse = tuple(self._index[q.conjugate()] for q in self._elements)
-        table = []
-        for a in self._elements:
-            row = []
-            for b in self._elements:
-                p = a * b
-                idx = self._index.get(p)
-                if idx is None:
-                    raise GroupConstructionError(f"not closed: {a} * {b} = {p} is missing")
-                row.append(idx)
-            table.append(tuple(row))
-        self._table = tuple(table)
+        self._table = _cayley_table(self._elements, self._d)
         self._classes: "tuple[tuple[int, ...], ...] | None" = None
 
     @property

@@ -262,15 +262,15 @@ class TestCrossFormatConsistency:
 
 
 class TestModuleEntryPoint:
-    """``python -m hurwitzq.cli`` behaves like the ``hurwitzq`` script."""
+    """Both ``python -m`` entry points behave like the ``hurwitzq`` script."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, module="hurwitzq.cli"):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run(
-            [sys.executable, "-m", "hurwitzq.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             env=env,
             capture_output=True,
             text=True,
@@ -279,6 +279,11 @@ class TestModuleEntryPoint:
 
     def test_tables_1(self):
         result = self.run_module("tables", "1")
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 29
+
+    def test_package_tables_1(self):
+        result = self.run_module("tables", "1", module="hurwitzq")
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 29
 

@@ -18,7 +18,7 @@ from hurwitzq.decompose import (
     table3_rows,
     unit_coverage_report,
 )
-from hurwitzq.lattices import hurwitz_units, unit_named
+from hurwitzq.lattices import hurwitz_units, trit_quaternions, unit_named
 from hurwitzq.particles import particle, registry
 from hurwitzq.quaternions import Quaternion, ZERO, parse_quaternion
 from hurwitzq.scalars import FieldMismatchError, QuadScalar
@@ -153,6 +153,46 @@ class TestDoubletSearch:
 
     def test_unrelated_pair_has_no_doublet(self):
         assert doublet_search(particle("u_R").charge, particle("u_R").charge) == []
+
+
+class TestSearchesMatchBruteForce:
+    """Each lookup search equals a full 24 x 24 scan, pairs in scan order."""
+
+    @staticmethod
+    def scan(predicate, ordered=True):
+        units = hurwitz_units()
+        return [
+            (a, b)
+            for i, a in enumerate(units)
+            for b in (units if ordered else units[i:])
+            if predicate(a.value, b.value)
+        ]
+
+    def test_sum_over_all_trits(self):
+        for target in (t.value for t in trit_quaternions()):
+            expected = self.scan(lambda a, b: a + b == target, ordered=False)
+            assert list(sum_decompositions(target).pairs) == expected
+
+    def test_diff_over_all_trits(self):
+        for target in (t.value for t in trit_quaternions()):
+            expected = self.scan(lambda a, b: a - b == target)
+            assert list(diff_decompositions(target).pairs) == expected
+
+    def test_doublet_over_all_registry_charge_pairs(self):
+        units = hurwitz_units()
+        both = [
+            (n, m, n.value + m.value, n.value + m.value.conjugate())
+            for n in units
+            for m in units
+        ]
+        charges = list(dict.fromkeys(row.charge for row in registry()))
+        found = 0
+        for up in charges:
+            for down in charges:
+                expected = [(n, m) for n, m, s, t in both if s == up and t == down]
+                assert doublet_search(up, down) == expected
+                found += len(expected)
+        assert found >= 4  # at least the four registry doublets
 
 
 class TestTable3:

@@ -8,6 +8,8 @@ because each subgroup of these groups is generated by at most two elements.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from hurwitzq.groups import (
@@ -28,6 +30,14 @@ from hurwitzq.groups import (
 )
 from hurwitzq.lattices import unit_named
 from hurwitzq.quaternions import I, J, K, ONE, Quaternion
+from hurwitzq.scalars import QuadScalar
+
+
+def element_order(q: Quaternion) -> int:
+    power, n = q, 1
+    while power != ONE:
+        power, n = power * q, n + 1
+    return n
 
 
 def brute_force_normal_subgroups(group: QGroup) -> set:
@@ -114,9 +124,23 @@ class TestConstruction:
             QGroup([ONE, Quaternion(2, 0, 0, 0)])
 
     def test_rejects_non_closed_sets(self):
-        # {1, -1, i} lacks -i = (-1)*i, so it is not closed.
-        with pytest.raises(GroupConstructionError):
+        # {1, -1, i} lacks -i, the inverse of i; that check comes first.
+        with pytest.raises(GroupConstructionError) as excinfo:
             QGroup([ONE, -ONE, I])
+        assert str(excinfo.value) == "inverse of (0, 1, 0, 0) is missing"
+        with pytest.raises(GroupConstructionError) as excinfo:
+            QGroup([ONE, -ONE, I, -I, J, -J])
+        assert str(excinfo.value) == "not closed: (0, -1, 0, 0) * (0, 0, -1, 0) = (0, 0, 0, 1) is missing"
+
+    def test_rejects_non_closed_icosian_set(self):
+        # q of order 10 in Q120: q * q is neither 1, q nor conj(q).
+        q = next(e for e in group_q120().elements if element_order(e) == 10)
+        assert str(q) == "(1/4+1/4*sqrt(5), -1/2, -1/4+1/4*sqrt(5), 0)"
+        with pytest.raises(GroupConstructionError) as excinfo:
+            QGroup([ONE, q, q.conjugate()])
+        assert str(excinfo.value) == (
+            f"not closed: {q} * {q} = (-1/4+1/4*sqrt(5), -1/4-1/4*sqrt(5), 1/2, 0) is missing"
+        )
 
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupConstructionError):
@@ -146,11 +170,14 @@ class TestCayleyTable:
             assert group.is_latin_square()
 
     def test_table_matches_direct_multiplication(self):
-        group = group_q24()
-        for i in range(0, group.order, 5):
-            for j in range(0, group.order, 7):
-                product = group.element(i) * group.element(j)
-                assert group.element(group.product_index(i, j)) == product
+        # The sqrt(2) Q16 = <(1+i)/sqrt(2), j> mixes rational and surd entries.
+        q16 = closure([(ONE + I) * QuadScalar(0, Fraction(1, 2), 2), J])
+        assert (q16.order, q16.d) == (16, 2)
+        for group in (group_q8(), group_q24(), group_q48(), group_q120(), q16):
+            elements = group.elements
+            table = group.cayley_table()
+            for i, a in enumerate(elements):
+                assert table[i] == tuple(group.index_of(a * b) for b in elements)
 
     def test_identity_row_and_column(self):
         group = group_q48()
